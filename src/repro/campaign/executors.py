@@ -26,6 +26,7 @@ next to its serial/parallel throughput numbers for exactly that reason.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
@@ -34,11 +35,9 @@ from typing import Iterator
 from repro.campaign.runner import ChunkCache, run_chunk, worker_chunk_cache
 from repro.campaign.spec import CampaignSpec, WorkUnit
 from repro.faults.harness import fault_point
-from repro.obs import events as _events
-from repro.obs import profile as _prof
-from repro.obs import trace as _trace
+from repro.obs import harness as obs_harness
 from repro.obs.events import event
-from repro.obs.trace import span
+from repro.obs.trace import current_context, seed_context, span
 
 
 class CampaignExecutionError(RuntimeError):
@@ -130,54 +129,25 @@ def _run_chunk_task(spec: CampaignSpec, chunk: list[WorkUnit],
     deterministically on the first dispatch and recovers on the
     retry.
 
-    Returns ``(records, spans, prof_snapshot, events)``.  When
-    observability is armed in the worker (the harness env is inherited
-    across fork), the chunk runs under *fresh local* collectors — never
-    the fork-copied parent tracer/event log, whose export file handles
-    must not be written from a child — and the collected span dicts /
-    profile snapshot / event dicts travel home with the records for the
-    parent to absorb/merge.  ``trace_ctx`` is the parent's
-    ``(trace_id, span_id)`` so worker spans *and events* nest under the
-    dispatching campaign span.  Disarmed, the extra slots are ``None``
-    and the records are untouched either way.
+    Returns ``(records, bundle)``: the chunk runs under
+    :func:`repro.obs.harness.collect`, so whatever observability is
+    armed in the worker (the harness env is inherited across fork)
+    collects locally and travels home as one bundle for the parent to
+    absorb; the records are untouched either way.  ``trace_ctx`` is
+    the parent's ``(trace_id, span_id)`` so worker spans *and events*
+    nest under the dispatching campaign span.
     """
     fault_point("campaign.pool_chunk", attempt=attempt, n_units=len(chunk))
-    want_trace = _trace.active_tracer() is not None
-    want_prof = _prof.active_profiler() is not None
-    want_events = _events.active_event_log() is not None
-    if not want_trace and not want_prof and not want_events:
-        return (run_chunk(spec, chunk, cache=worker_chunk_cache(spec)),
-                None, None, None)
+    return obs_harness.collect(_pool_chunk, spec, chunk, attempt, trace_ctx)
 
-    collector = _trace.Tracer() if want_trace else None
-    local_prof = _prof.Profiler() if want_prof else None
-    local_events = _events.EventLog() if want_events else None
-    prev_tracer = _trace.activate(collector) if want_trace else None
-    prev_prof = _prof.activate(local_prof) if want_prof else None
-    prev_events = _events.activate(local_events) if want_events else None
-    try:
-        if want_trace and trace_ctx is not None:
-            with _trace.seed_context(*trace_ctx):
-                with span("campaign.pool_chunk", attempt=attempt,
-                          n_units=len(chunk)):
-                    records = run_chunk(spec, chunk,
-                                        cache=worker_chunk_cache(spec))
-        else:
-            with span("campaign.pool_chunk", attempt=attempt,
-                      n_units=len(chunk)):
-                records = run_chunk(spec, chunk,
-                                    cache=worker_chunk_cache(spec))
-    finally:
-        if want_trace:
-            _trace._set_active(prev_tracer)
-        if want_prof:
-            _prof._set_active(prev_prof)
-        if want_events:
-            _events._set_active(prev_events)
-    spans = collector.spans() if want_trace else None
-    prof_snap = local_prof.snapshot() if want_prof else None
-    child_events = local_events.events() if want_events else None
-    return records, spans, prof_snap, child_events
+
+def _pool_chunk(spec: CampaignSpec, chunk: list[WorkUnit], attempt: int,
+                trace_ctx) -> list[dict]:
+    with (seed_context(*trace_ctx) if trace_ctx is not None
+          else contextlib.nullcontext()):
+        with span("campaign.pool_chunk", attempt=attempt,
+                  n_units=len(chunk)):
+            return run_chunk(spec, chunk, cache=worker_chunk_cache(spec))
 
 
 class ProcessPoolCampaignExecutor:
@@ -257,7 +227,7 @@ class ProcessPoolCampaignExecutor:
         pending = set(attempts)
         self.restarts = 0
         next_to_yield = 0
-        trace_ctx = _trace.current_context()
+        trace_ctx = current_context()
         while pending:
             pool = self._get_pool(spec)
             futures = {}
@@ -269,17 +239,8 @@ class ProcessPoolCampaignExecutor:
                 }
                 for future in as_completed(futures):
                     i = futures[future]
-                    records, child_spans, child_prof, child_events = \
-                        future.result()
-                    tracer = _trace.active_tracer()
-                    if child_spans and tracer is not None:
-                        tracer.absorb(child_spans)
-                    profiler = _prof.active_profiler()
-                    if child_prof and profiler is not None:
-                        profiler.merge(child_prof)
-                    log = _events.active_event_log()
-                    if child_events and log is not None:
-                        log.absorb(child_events)
+                    records, bundle = future.result()
+                    obs_harness.absorb(bundle)
                     results[i] = records
                     pending.discard(i)
                     while next_to_yield in results:

@@ -45,6 +45,9 @@ import random
 import threading
 import time
 
+from repro.obs.harness import split_spec
+from repro.obs.trace import armed
+
 #: Environment variable holding a compact fault spec (see plan_from_env).
 FAULTS_ENV = "REPRO_FAULTS"
 
@@ -168,47 +171,27 @@ class FaultPlan:
             if exc is not None:
                 raise exc
 
-    # ------------------------------------------------------------------
-    # Arming
-    # ------------------------------------------------------------------
-    def activate(self) -> "_ActivePlan":
+    def activate(self):
         """Context manager arming this plan (restores the previous one
         on exit)."""
-        return _ActivePlan(self)
-
-
-class _ActivePlan:
-    def __init__(self, plan: FaultPlan) -> None:
-        self.plan = plan
-        self._previous: FaultPlan | None = None
-
-    def __enter__(self) -> FaultPlan:
-        self._previous = activate(self.plan)
-        return self.plan
-
-    def __exit__(self, *exc) -> None:
-        _set_active(self._previous)
+        return armed(activate, self)
 
 
 #: The single armed plan; ``None`` keeps every fault point inert.
 _ACTIVE: FaultPlan | None = None
 
 
-def _set_active(plan: FaultPlan | None) -> None:
+def activate(plan: FaultPlan | None) -> FaultPlan | None:
+    """Arm ``plan`` globally (``None`` disarms); returns the previously
+    armed plan."""
     global _ACTIVE
-    _ACTIVE = plan
-
-
-def activate(plan: FaultPlan) -> FaultPlan | None:
-    """Arm ``plan`` globally; returns the previously armed plan."""
-    previous = _ACTIVE
-    _set_active(plan)
+    previous, _ACTIVE = _ACTIVE, plan
     return previous
 
 
 def deactivate() -> None:
     """Disarm fault injection entirely."""
-    _set_active(None)
+    activate(None)
 
 
 def active_plan() -> FaultPlan | None:
@@ -255,7 +238,8 @@ def _env_exception(name: str):
 def plan_from_env(spec: str) -> FaultPlan:
     """Parse a compact ``REPRO_FAULTS`` spec into a plan.
 
-    Grammar (semicolon-separated rules, colon-separated options)::
+    Grammar (semicolon-separated rules, colon-separated options — the
+    splitter ``REPRO_OBS`` uses too, :func:`repro.obs.harness.split_spec`)::
 
         [seed=N;]point[:raise=ExcName][:p=0.05][:times=N][:after=N]
                       [:sleep=S][:kill]
@@ -266,14 +250,12 @@ def plan_from_env(spec: str) -> FaultPlan:
     """
     seed = 0
     rules = []
-    parts = [p.strip() for p in spec.split(";") if p.strip()]
-    for part in parts:
+    for part, point, options in split_spec(spec):
         if part.startswith("seed="):
             seed = int(part[5:])
             continue
-        fields = part.split(":")
-        kwargs: dict = {"point": fields[0]}
-        for opt in fields[1:]:
+        kwargs: dict = {"point": point}
+        for opt in options:
             if opt == "kill":
                 kwargs["kill"] = True
             elif opt.startswith("raise="):

@@ -19,9 +19,16 @@ can never perturb a byte-identity or determinism gate:
   as ``events.*`` counters in ``/v1/metrics`` and triaged by
   ``repro doctor``.
 
-Arming: ``REPRO_OBS=`` env grammar (parsed at import —
-:mod:`repro.obs.harness`), or scoped ``Tracer.activate()`` /
-``Profiler.activate()`` / ``EventLog.activate()`` context managers.
+Each mechanism exists once.  ``Tracer`` and ``EventLog`` are the one
+bounded ring (:class:`repro.obs.trace.Ring`: record, absorb, JSONL
+export, ``recorded``/``dropped``), read back by the one ``load_jsonl``.
+Scoped arming — ``Tracer.activate()`` / ``Profiler.activate()`` /
+``EventLog.activate()`` and ``FaultPlan.activate()`` — is the one
+helper :func:`repro.obs.trace.armed`.  A pool worker's spans, profile
+and events travel home as one bundle (:func:`repro.obs.harness.collect`
+/ :func:`repro.obs.harness.absorb`).  The ``REPRO_OBS=`` env grammar,
+parsed at import by :mod:`repro.obs.harness`, shares its splitter with
+``REPRO_FAULTS``.
 """
 
 from repro.obs.events import (

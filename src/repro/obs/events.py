@@ -26,9 +26,10 @@ with no plumbing.  The log is a bounded ring — overflow evicts the
 oldest and counts the drops — and severity tallies are monotonic
 (they survive eviction), which is what the service surfaces as the
 ``events.*`` counters in ``/v1/metrics`` and the Prometheus
-exposition.  Pool workers collect into a fresh local log and ship
-``events()`` home with the chunk results for the parent to
-:meth:`~EventLog.absorb` — the same pattern the tracer uses.
+exposition.  The ring, its JSONL export and :func:`load_jsonl` are the
+tracer's (:class:`repro.obs.trace.Ring`); pool workers collect into a
+fresh local log whose events travel home in the chunk's obs bundle
+(:func:`repro.obs.harness.collect`), exactly like spans.
 
 Events record diagnosis only — never results — so arming cannot change
 the bytes of any exported document (CI proves it with ``cmp``).
@@ -36,70 +37,35 @@ the bytes of any exported document (CI proves it with ``cmp``).
 
 from __future__ import annotations
 
-import json
 import os
-import threading
 import time
 
 from repro.obs import trace as _trace
+from repro.obs.trace import load_jsonl  # noqa: F401 — the one JSONL reader
 
 #: Recognised severities, mildest first.
 SEVERITIES = ("info", "warn", "error")
 
 
-class EventLog:
-    """A bounded, thread-safe ring buffer of structured events.
-
-    ``buffer`` caps retained events (oldest evicted first — a long-lived
-    service must not grow without bound); eviction is counted in
-    :attr:`dropped` so triage knows the window is partial.
-    ``export_path`` additionally appends every event as one JSONL line
-    the moment it is recorded (crash-safe flush per line).
-    """
+class EventLog(_trace.Ring):
+    """The ring of structured events, plus per-severity tallies that
+    are monotonic (they survive eviction, like :attr:`recorded` and
+    :attr:`dropped`)."""
 
     def __init__(self, buffer: int = 65536, export_path=None) -> None:
-        if buffer < 1:
-            raise ValueError(f"buffer must be >= 1, got {buffer}")
-        self._lock = threading.Lock()
-        self._buffer = buffer
-        self._events: list[dict] = []
-        self.export_path = export_path
-        self._export_fh = None
-        #: Total events recorded (monotonic, survives eviction).
-        self.recorded = 0
-        #: Events evicted by ring overflow (monotonic).
-        self.dropped = 0
+        super().__init__(buffer, export_path)
         self._severity_counts = {s: 0 for s in SEVERITIES}
 
-    def record(self, event_dict: dict) -> None:
-        with self._lock:
-            self.recorded += 1
-            sev = event_dict.get("severity")
-            if sev in self._severity_counts:
-                self._severity_counts[sev] += 1
-            self._events.append(event_dict)
-            overflow = len(self._events) - self._buffer
-            if overflow > 0:
-                del self._events[:overflow]
-                self.dropped += overflow
-            if self.export_path is not None:
-                if self._export_fh is None:
-                    self._export_fh = open(self.export_path, "a")
-                self._export_fh.write(json.dumps(event_dict) + "\n")
-                self._export_fh.flush()
-
-    def absorb(self, event_dicts) -> None:
-        """Merge events collected elsewhere (a pool worker) into this
-        log, preserving their trace correlation and pids."""
-        for ed in event_dicts:
-            self.record(ed)
+    def _tally(self, event_dict: dict) -> None:
+        sev = event_dict.get("severity")
+        if sev in self._severity_counts:
+            self._severity_counts[sev] += 1
 
     def events(self, name: str | None = None,
                severity: str | None = None) -> list[dict]:
         """Buffered events (a copy), optionally filtered by exact name
         and/or severity."""
-        with self._lock:
-            events = list(self._events)
+        events = self._copy()
         if name is not None:
             events = [e for e in events if e.get("name") == name]
         if severity is not None:
@@ -112,59 +78,27 @@ class EventLog:
         with self._lock:
             return dict(self._severity_counts)
 
-    def export_jsonl(self, path) -> int:
-        """Write every buffered event to ``path`` as JSONL; returns the
-        event count."""
-        events = self.events()
-        with open(path, "w") as fh:
-            for e in events:
-                fh.write(json.dumps(e) + "\n")
-        return len(events)
-
-    def close(self) -> None:
-        with self._lock:
-            if self._export_fh is not None:
-                self._export_fh.close()
-                self._export_fh = None
-
-    def activate(self) -> "_ActiveEventLog":
+    def activate(self):
         """Context manager arming this log (restores the previous one
         on exit) — the worker/test-scoped arming path."""
-        return _ActiveEventLog(self)
-
-
-class _ActiveEventLog:
-    def __init__(self, log: EventLog) -> None:
-        self.log = log
-        self._previous: EventLog | None = None
-
-    def __enter__(self) -> EventLog:
-        self._previous = activate(self.log)
-        return self.log
-
-    def __exit__(self, *exc) -> None:
-        _set_active(self._previous)
+        return _trace.armed(activate, self)
 
 
 #: The single armed event log; ``None`` keeps every hook inert.
 _ACTIVE: EventLog | None = None
 
 
-def _set_active(log: EventLog | None) -> None:
+def activate(log: EventLog | None) -> EventLog | None:
+    """Arm ``log`` globally (``None`` disarms); returns the previously
+    armed log."""
     global _ACTIVE
-    _ACTIVE = log
-
-
-def activate(log: EventLog) -> EventLog | None:
-    """Arm ``log`` globally; returns the previously armed log."""
-    previous = _ACTIVE
-    _set_active(log)
+    previous, _ACTIVE = _ACTIVE, log
     return previous
 
 
 def deactivate() -> None:
     """Disarm event logging entirely."""
-    _set_active(None)
+    activate(None)
 
 
 def active_event_log() -> EventLog | None:
@@ -208,15 +142,3 @@ def format_events(events, limit: int = 50) -> str:
         lines.append(f"[{e.get('severity', '?'):<5}] "
                      f"{e.get('name', '?'):<32} trace={trace} {shown}")
     return "\n".join(lines)
-
-
-def load_jsonl(path) -> list[dict]:
-    """Read events back from a JSONL export (inverse of the log's
-    export); blank lines are ignored, corrupt lines raise."""
-    events = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                events.append(json.loads(line))
-    return events

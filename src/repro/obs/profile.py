@@ -15,7 +15,8 @@ is deliberately absent).
 Arming is scoped: :meth:`Profiler.activate` (the ``--profile`` CLI
 flag and ``run_campaign(profile=True)`` wrap one run), or process-wide
 via ``REPRO_OBS=profile`` (see :mod:`repro.obs.harness`).  Pool workers
-ship their snapshot back with each chunk's results; the parent
+ship their snapshot home in each chunk's obs bundle
+(:func:`repro.obs.harness.collect`); the parent
 :meth:`~Profiler.merge`\\ s them, so a pooled campaign's profile covers
 child-process work too.
 """
@@ -24,6 +25,8 @@ from __future__ import annotations
 
 import threading
 import time
+
+from repro.obs.trace import armed
 
 
 class Profiler:
@@ -65,44 +68,27 @@ class Profiler:
             self._counts.clear()
             self._times.clear()
 
-    def activate(self) -> "_ActiveProfiler":
+    def activate(self):
         """Context manager arming this profiler (restores the previous
         one on exit)."""
-        return _ActiveProfiler(self)
-
-
-class _ActiveProfiler:
-    def __init__(self, profiler: Profiler) -> None:
-        self.profiler = profiler
-        self._previous: Profiler | None = None
-
-    def __enter__(self) -> Profiler:
-        self._previous = activate(self.profiler)
-        return self.profiler
-
-    def __exit__(self, *exc) -> None:
-        _set_active(self._previous)
+        return armed(activate, self)
 
 
 #: The single armed profiler; ``None`` keeps every hook inert.
 _ACTIVE: Profiler | None = None
 
 
-def _set_active(profiler: Profiler | None) -> None:
+def activate(profiler: Profiler | None) -> Profiler | None:
+    """Arm ``profiler`` globally (``None`` disarms); returns the
+    previously armed one."""
     global _ACTIVE
-    _ACTIVE = profiler
-
-
-def activate(profiler: Profiler) -> Profiler | None:
-    """Arm ``profiler`` globally; returns the previously armed one."""
-    previous = _ACTIVE
-    _set_active(profiler)
+    previous, _ACTIVE = _ACTIVE, profiler
     return previous
 
 
 def deactivate() -> None:
     """Disarm profiling entirely."""
-    _set_active(None)
+    activate(None)
 
 
 def active_profiler() -> Profiler | None:

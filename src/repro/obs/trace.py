@@ -10,7 +10,8 @@ its bytes or its budget.
 
 Armed (:func:`activate`, :meth:`Tracer.activate`, or ``REPRO_OBS=trace``
 via :mod:`repro.obs.harness`), every finished span lands in the active
-:class:`Tracer` as one plain dict::
+:class:`Tracer` — a :class:`Ring`, the bounded record buffer the event
+log shares — as one plain dict::
 
     {"trace_id": ..., "span_id": ..., "parent_id": ..., "name": ...,
      "t0": <wall epoch>, "dur_s": ..., "attrs": {...}}
@@ -21,9 +22,9 @@ the parent of anything opened under it, so a serve worker's
 ``campaign.run`` which parents each ``campaign.chunk``.  Crossing a
 process boundary is explicit — :func:`current_context` captures
 ``(trace_id, span_id)`` into a picklable tuple, :func:`seed_context`
-adopts it on the far side, and the pool executor ships the child's
-collected span dicts back with the chunk results for the parent's
-tracer to :meth:`~Tracer.absorb`.
+adopts it on the far side, and the pool worker's span dicts travel
+home in the chunk's obs bundle (:func:`repro.obs.harness.collect`) for
+the parent's tracer to :meth:`~Ring.absorb`.
 
 Spans record timing and metadata only — never results — so tracing
 armed cannot perturb any byte-identity contract (CI proves it with
@@ -32,11 +33,13 @@ armed cannot perturb any byte-identity contract (CI proves it with
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import threading
 import time
 import uuid
+from collections import deque
 
 
 def new_id() -> str:
@@ -48,13 +51,28 @@ def new_id() -> str:
 _TLS = threading.local()    # .ctx = (trace_id, innermost open span_id)
 
 
-class Tracer:
-    """A bounded, thread-safe buffer of finished spans.
+@contextlib.contextmanager
+def armed(activate, collector):
+    """Scoped arming, shared by every collector and by fault plans:
+    ``with armed(activate, obj):`` arms ``obj`` through its module's
+    ``activate`` and re-arms whatever was armed before on exit."""
+    previous = activate(collector)
+    try:
+        yield collector
+    finally:
+        activate(previous)
 
-    ``buffer`` caps retained spans (oldest dropped first — a long-lived
-    service must not grow without bound); ``export_path`` additionally
-    appends every span as one JSONL line the moment it finishes (crash-
-    safe flush per line), which is what ``repro trace`` reads back.
+
+class Ring:
+    """A bounded, thread-safe ring of records (plain dicts).
+
+    ``buffer`` caps retained records (oldest evicted first — a
+    long-lived service must not grow without bound); :attr:`recorded`
+    and :attr:`dropped` count every record and every eviction, so
+    triage knows when the window is partial.  ``export_path``
+    additionally appends every record as one JSONL line the moment it
+    lands (crash-safe flush per line), which is what ``repro trace`` and
+    ``repro doctor`` read back with :func:`load_jsonl`.
     """
 
     def __init__(self, buffer: int = 65536, export_path=None) -> None:
@@ -62,53 +80,48 @@ class Tracer:
             raise ValueError(f"buffer must be >= 1, got {buffer}")
         self._lock = threading.Lock()
         self._buffer = buffer
-        self._spans: list[dict] = []
+        self._records: deque = deque(maxlen=buffer)
         self.export_path = export_path
         self._export_fh = None
-        #: Total spans recorded (monotonic, survives buffer eviction).
+        #: Total records (monotonic, survives eviction).
         self.recorded = 0
+        #: Records evicted by ring overflow (monotonic).
+        self.dropped = 0
 
-    def record(self, span_dict: dict) -> None:
+    def record(self, record: dict) -> None:
         with self._lock:
+            self._tally(record)
             self.recorded += 1
-            self._spans.append(span_dict)
-            if len(self._spans) > self._buffer:
-                del self._spans[: len(self._spans) - self._buffer]
+            if len(self._records) == self._buffer:
+                self.dropped += 1
+            self._records.append(record)
             if self.export_path is not None:
                 if self._export_fh is None:
                     self._export_fh = open(self.export_path, "a")
-                self._export_fh.write(json.dumps(span_dict) + "\n")
+                self._export_fh.write(json.dumps(record) + "\n")
                 self._export_fh.flush()
 
-    def absorb(self, span_dicts) -> None:
-        """Merge spans collected elsewhere (a pool worker, a batch
-        group) into this tracer, preserving their ids."""
-        for sd in span_dicts:
-            self.record(sd)
+    def _tally(self, record: dict) -> None:
+        """Per-record bookkeeping under the ring's lock (none here)."""
 
-    def spans(self, trace_id: str | None = None) -> list[dict]:
-        """Buffered spans (a copy), optionally only one trace's."""
+    def absorb(self, records) -> None:
+        """Merge records collected elsewhere (a pool worker, a batch
+        group), preserving their ids and pids."""
+        for record in records:
+            self.record(record)
+
+    def _copy(self) -> list[dict]:
         with self._lock:
-            spans = list(self._spans)
-        if trace_id is None:
-            return spans
-        return [s for s in spans if s.get("trace_id") == trace_id]
-
-    def trace_ids(self) -> list[str]:
-        """Distinct trace ids in the buffer, oldest first."""
-        seen: dict[str, None] = {}
-        for s in self.spans():
-            seen.setdefault(s.get("trace_id"), None)
-        return list(seen)
+            return list(self._records)
 
     def export_jsonl(self, path) -> int:
-        """Write every buffered span to ``path`` as JSONL; returns the
-        span count."""
-        spans = self.spans()
+        """Write every buffered record to ``path`` as JSONL; returns the
+        record count."""
+        records = self._copy()
         with open(path, "w") as fh:
-            for s in spans:
-                fh.write(json.dumps(s) + "\n")
-        return len(spans)
+            for record in records:
+                fh.write(json.dumps(record) + "\n")
+        return len(records)
 
     def close(self) -> None:
         with self._lock:
@@ -116,23 +129,28 @@ class Tracer:
                 self._export_fh.close()
                 self._export_fh = None
 
-    def activate(self) -> "_ActiveTracer":
+
+class Tracer(Ring):
+    """The ring of finished spans."""
+
+    def spans(self, trace_id: str | None = None) -> list[dict]:
+        """Buffered spans (a copy), optionally only one trace's."""
+        spans = self._copy()
+        if trace_id is None:
+            return spans
+        return [s for s in spans if s.get("trace_id") == trace_id]
+
+    def trace_ids(self) -> list[str]:
+        """Distinct trace ids in the buffer, oldest first."""
+        seen: dict[str, None] = {}
+        for s in self._copy():
+            seen.setdefault(s.get("trace_id"), None)
+        return list(seen)
+
+    def activate(self):
         """Context manager arming this tracer (restores the previous
         one on exit) — the worker/test-scoped arming path."""
-        return _ActiveTracer(self)
-
-
-class _ActiveTracer:
-    def __init__(self, tracer: Tracer) -> None:
-        self.tracer = tracer
-        self._previous: Tracer | None = None
-
-    def __enter__(self) -> Tracer:
-        self._previous = activate(self.tracer)
-        return self.tracer
-
-    def __exit__(self, *exc) -> None:
-        _set_active(self._previous)
+        return armed(activate, self)
 
 
 class _NullSpan:
@@ -204,21 +222,17 @@ class _SpanHandle:
 _ACTIVE: Tracer | None = None
 
 
-def _set_active(tracer: Tracer | None) -> None:
+def activate(tracer: Tracer | None) -> Tracer | None:
+    """Arm ``tracer`` globally (``None`` disarms); returns the
+    previously armed tracer."""
     global _ACTIVE
-    _ACTIVE = tracer
-
-
-def activate(tracer: Tracer) -> Tracer | None:
-    """Arm ``tracer`` globally; returns the previously armed tracer."""
-    previous = _ACTIVE
-    _set_active(tracer)
+    previous, _ACTIVE = _ACTIVE, tracer
     return previous
 
 
 def deactivate() -> None:
     """Disarm tracing entirely."""
-    _set_active(None)
+    activate(None)
 
 
 def active_tracer() -> Tracer | None:
@@ -370,12 +384,7 @@ def format_slowest(spans, top: int = 10) -> str:
 
 
 def load_jsonl(path) -> list[dict]:
-    """Read spans back from a JSONL export (inverse of the tracer's
-    export); blank lines are ignored, corrupt lines raise."""
-    spans = []
+    """Read records back from a ring's JSONL export (spans or events);
+    blank lines are ignored, corrupt lines raise."""
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                spans.append(json.loads(line))
-    return spans
+        return [json.loads(line) for line in fh if line.strip()]

@@ -766,19 +766,11 @@ class CharacterizationService:
         """The ``GET /metrics`` document (Prometheus text exposition)."""
         self._update_gauges()
         counters = self.metrics.snapshot()
-        for name, value in self._store_section().items():
-            if isinstance(value, bool):
-                self.metrics.set_gauge(name, 1.0 if value else 0.0)
-            elif isinstance(value, (int, float)):
+        for section in (self._store_section(), self._journal_section(),
+                        self._events_section()):
+            for name, value in section.items():
+                # set_gauge floats: booleans become 1.0/0.0.
                 self.metrics.set_gauge(name, value)
-        for name, value in self._journal_section().items():
-            self.metrics.set_gauge(name,
-                                   float(value) if not isinstance(value, bool)
-                                   else (1.0 if value else 0.0))
-        for name, value in self._events_section().items():
-            self.metrics.set_gauge(name,
-                                   float(value) if not isinstance(value, bool)
-                                   else (1.0 if value else 0.0))
         return render_prometheus(
             counters=counters,
             gauges=self.metrics.gauges_snapshot(),

@@ -14,7 +14,12 @@ from repro.obs.events import (
 )
 from repro.obs.harness import ObsConfig, arm, config_from_env, events_enabled
 from repro.obs.profile import deactivate as prof_deactivate
-from repro.obs.trace import Tracer, deactivate as trace_deactivate, span
+from repro.obs.trace import (
+    Tracer,
+    deactivate as trace_deactivate,
+    span,
+    trace_point,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -25,20 +30,29 @@ def disarm_after():
     prof_deactivate()
 
 
+#: Both rings share one contract (eviction, absorb, JSONL export):
+#: (ring class, its contents accessor, the hook that records into it).
+RINGS = [pytest.param(Tracer, Tracer.spans, trace_point, id="Tracer"),
+         pytest.param(EventLog, EventLog.events, event, id="EventLog")]
+
+
 def _ev(name="x", severity="warn", **fields):
     return {"name": name, "severity": severity, "t": 0.0,
             "trace_id": None, "span_id": None, "pid": 1, "fields": fields}
 
 
 class TestEventLog:
-    def test_ring_overflow_keeps_newest_and_counts_drops(self):
-        log = EventLog(buffer=3)
-        for i in range(10):
-            log.record(_ev(name=f"e{i}"))
-        names = [e["name"] for e in log.events()]
+    @pytest.mark.parametrize("ring_cls, contents, emit", RINGS)
+    def test_ring_overflow_keeps_newest_and_counts_drops(self, ring_cls,
+                                                         contents, emit):
+        ring = ring_cls(buffer=3)
+        with ring.activate():
+            for i in range(10):
+                emit(f"e{i}")
+        names = [r["name"] for r in contents(ring)]
         assert names == ["e7", "e8", "e9"]
-        assert log.dropped == 7
-        assert log.recorded == 10
+        assert ring.dropped == 7
+        assert ring.recorded == 10
 
     def test_severity_counts_survive_eviction(self):
         log = EventLog(buffer=2)
@@ -150,6 +164,8 @@ class TestGrammar:
     def test_one_arms_events_too(self):
         assert config_from_env("1").events
         assert config_from_env("all").events
+        config = config_from_env("1:buffer=7")   # sizes both rings
+        assert config.trace_buffer == 7 and config.events_buffer == 7
 
     def test_events_options(self):
         config = config_from_env("events:export=/tmp/e.jsonl:buffer=99")
@@ -161,6 +177,8 @@ class TestGrammar:
     def test_export_on_profile_still_rejected(self):
         with pytest.raises(ValueError, match="export= applies to"):
             config_from_env("profile:export=/tmp/x")
+        with pytest.raises(ValueError, match="buffer= applies to"):
+            config_from_env("profile:buffer=5")
 
     def test_unknown_component_lists_events(self):
         with pytest.raises(ValueError, match="events"):

@@ -40,6 +40,9 @@ class TestGrammar:
     def test_export_requires_trace_component(self):
         with pytest.raises(ValueError, match="export= applies to trace"):
             config_from_env("profile:export=/tmp/x")
+        for spec in ("profile:buffer=5", "metrics:buffer=9"):
+            with pytest.raises(ValueError, match="buffer= applies to trace"):
+                config_from_env(spec)
 
     def test_unknown_component_rejected(self):
         with pytest.raises(ValueError, match="unknown component"):

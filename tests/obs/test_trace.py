@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from repro.obs.events import EventLog, event
 from repro.obs.trace import (
     Tracer,
     active_tracer,
@@ -16,6 +17,12 @@ from repro.obs.trace import (
     span,
     trace_point,
 )
+
+
+#: Both rings share one contract (eviction, absorb, JSONL export):
+#: (ring class, its contents accessor, the hook that records into it).
+RINGS = [pytest.param(Tracer, Tracer.spans, trace_point, id="Tracer"),
+         pytest.param(EventLog, EventLog.events, event, id="EventLog")]
 
 
 @pytest.fixture
@@ -129,14 +136,18 @@ class TestTracer:
             for i in range(5):
                 trace_point(f"p{i}")
         assert t.recorded == 5
+        assert t.dropped == 2
         assert [s["name"] for s in t.spans()] == ["p2", "p3", "p4"]
 
-    def test_absorb_preserves_foreign_ids(self, tracer):
+    @pytest.mark.parametrize("ring_cls, contents, emit", RINGS)
+    def test_absorb_preserves_foreign_ids(self, ring_cls, contents, emit):
         foreign = [{"trace_id": "t" * 16, "span_id": "s" * 16,
                     "parent_id": None, "name": "remote", "t0": 0.0,
                     "dur_s": 0.1, "attrs": {}, "pid": 1}]
-        tracer.absorb(foreign)
-        assert tracer.spans()[0]["span_id"] == "s" * 16
+        ring = ring_cls()
+        ring.absorb(foreign)
+        assert contents(ring)[0]["span_id"] == "s" * 16
+        assert ring.recorded == 1
 
     def test_spans_filter_by_trace_id(self, tracer):
         with span("a"):
@@ -148,12 +159,16 @@ class TestTracer:
         assert only == [b]
         assert tracer.trace_ids() == [a["trace_id"], b["trace_id"]]
 
-    def test_export_jsonl_round_trips(self, tracer, tmp_path):
-        with span("outer", k=1):
-            trace_point("p")
-        path = tmp_path / "spans.jsonl"
-        assert tracer.export_jsonl(path) == 2
-        assert load_jsonl(path) == tracer.spans()
+    @pytest.mark.parametrize("ring_cls, contents, emit", RINGS)
+    def test_export_jsonl_round_trips(self, ring_cls, contents, emit,
+                                      tmp_path):
+        ring = ring_cls()
+        with ring.activate():
+            emit("outer", k=1)
+            emit("p")
+        path = tmp_path / "ring.jsonl"
+        assert ring.export_jsonl(path) == 2
+        assert load_jsonl(path) == contents(ring)
 
     def test_live_export_appends_per_span(self, tmp_path):
         path = tmp_path / "live.jsonl"
